@@ -22,7 +22,8 @@
 //!   reproduced to float round-off. A fresh `sweep` block (the
 //!   middle-tier capacity study) is re-derived for monotonicity and
 //!   reproduced against a baseline sweep the same way.
-//! * `tahoe-bench-par/v1` — consistency flags, Tahoe still migrates at
+//! * `tahoe-bench-par/v1` — consistency flags, the NVM-start Tahoe
+//!   (`tahoe-init`, whose whole plan migrates) still migrates at
 //!   ≥2 workers, the best migration overlap has not collapsed relative
 //!   to the baseline, and — when the fresh machine actually has ≥2
 //!   cores — DRAM-only parallel speedup clears its floor at 2 workers
@@ -387,7 +388,7 @@ fn par_best_overlap(v: &Value) -> Result<(f64, bool), String> {
     for r in runs {
         let policy = r.get("policy").and_then(|p| p.as_str()).unwrap_or("");
         let workers = r.get("workers").and_then(|w| w.as_f64()).unwrap_or(0.0);
-        if policy != "tahoe" || workers < 2.0 {
+        if policy != "tahoe-init" || workers < 2.0 {
             continue;
         }
         if r.get("migrations").and_then(|m| m.as_f64()).unwrap_or(0.0) > 0.0 {
@@ -435,12 +436,12 @@ fn compare_par(baseline: &Value, fresh: &Value) -> Result<Vec<String>, String> {
     let (b_best, _) = par_best_overlap(baseline)?;
     let (f_best, f_migrated) = par_best_overlap(fresh)?;
     if !f_migrated {
-        violations.push("tahoe at >=2 workers performed no migrations".into());
+        violations.push("tahoe-init at >=2 workers performed no migrations".into());
     }
     let floor = b_best * PAR_OVERLAP_RETENTION;
     if f_best < floor {
         violations.push(format!(
-            "best tahoe overlap {f_best:.1}% collapsed below {floor:.1}% (baseline best {b_best:.1}%)"
+            "best tahoe-init overlap {f_best:.1}% collapsed below {floor:.1}% (baseline best {b_best:.1}%)"
         ));
     }
     // Parallel-scaling band. Speedups are recomputed from the fresh
@@ -854,8 +855,8 @@ mod tests {
             r#"{{"schema": "tahoe-bench-par/v1",
                 "runs": [
                   {{"policy": "DRAM-only", "workers": 2, "migrations": 0, "pct_overlap": 0.0}},
-                  {{"policy": "tahoe", "workers": 1, "migrations": 3, "pct_overlap": 0.0}},
-                  {{"policy": "tahoe", "workers": 2, "migrations": {migrations}, "pct_overlap": {overlap}}}
+                  {{"policy": "tahoe-init", "workers": 1, "migrations": 3, "pct_overlap": 0.0}},
+                  {{"policy": "tahoe-init", "workers": 2, "migrations": {migrations}, "pct_overlap": {overlap}}}
                 ],
                 "consistency": {{"all_runs_match_reference": true, "tahoe_multiworker_overlapped": true}}}}"#
         )
@@ -872,8 +873,8 @@ mod tests {
             ));
         }
         runs.push_str(
-            r#"{"policy": "tahoe", "workers": 1, "wall_ns": 120000.0, "migrations": 3, "pct_overlap": 0.0},
-               {"policy": "tahoe", "workers": 2, "wall_ns": 70000.0, "migrations": 4, "pct_overlap": 60.0}"#,
+            r#"{"policy": "tahoe-init", "workers": 1, "wall_ns": 120000.0, "migrations": 3, "pct_overlap": 0.0},
+               {"policy": "tahoe-init", "workers": 2, "wall_ns": 70000.0, "migrations": 4, "pct_overlap": 60.0}"#,
         );
         format!(
             r#"{{"schema": "tahoe-bench-par/v1",

@@ -41,6 +41,17 @@ pub fn platform_optane(app: &App) -> Platform {
     Platform::optane(dram_budget(app), 4 * app.footprint())
 }
 
+/// Tahoe starting every object on the slowest tier (the `tahoe-init`
+/// ablation). Default Tahoe starts from the compiler-estimate placement
+/// and may never migrate at smoke scale, so the experiments that exist
+/// to measure the migration path (overlap, blame) name this policy.
+pub fn tahoe_nvm_start() -> PolicyKind {
+    PolicyKind::Tahoe(TahoeOptions {
+        initial_placement: false,
+        ..TahoeOptions::default()
+    })
+}
+
 fn rt(platform: Platform) -> Runtime {
     Runtime::new(platform, RuntimeConfig::default())
 }
@@ -863,6 +874,7 @@ fn real_two(smoke: bool, dir: &str) -> Result<(), String> {
         PolicyKind::NvmOnly,
         PolicyKind::FirstTouch,
         PolicyKind::tahoe(),
+        tahoe_nvm_start(),
     ];
     // Wall clocks are noisy; keep each policy's best-of-`reps` run.
     let mut reports = Vec::with_capacity(policies.len());
@@ -1287,6 +1299,7 @@ pub fn par(smoke: bool, dir: &str) -> Result<(), String> {
         PolicyKind::NvmOnly,
         PolicyKind::FirstTouch,
         PolicyKind::tahoe(),
+        tahoe_nvm_start(),
     ];
 
     println!(
@@ -1329,7 +1342,9 @@ pub fn par(smoke: bool, dir: &str) -> Result<(), String> {
             ));
         }
     }
-    let tahoe_name = PolicyKind::tahoe().name();
+    // The overlap acceptance needs migrations: it names the NVM-start
+    // Tahoe, whose whole plan is copied in the background.
+    let tahoe_name = tahoe_nvm_start().name();
     let tahoe_overlapped = runs
         .iter()
         .filter(|r| r.policy == tahoe_name && r.workers >= 2 && r.migration.count > 0)
@@ -1493,7 +1508,8 @@ pub fn blame(smoke: bool, dir: &str) -> Result<(), String> {
         cal.dram.read_bw_gbps, cal.dram.read_lat_ns, cal.nvm.read_bw_gbps, cal.nvm.read_lat_ns
     );
 
-    let r = rt.run_policy_parallel(&app, &PolicyKind::tahoe(), &cal, workers, seed)?;
+    // Blame needs migrations to attribute: run the NVM-start Tahoe.
+    let r = rt.run_policy_parallel(&app, &tahoe_nvm_start(), &cal, workers, seed)?;
     let reference = reference_checksum_seeded(&app, seed);
     if r.checksum != reference {
         return Err(format!(

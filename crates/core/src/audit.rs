@@ -15,9 +15,13 @@
 //!   and a benefit materialized). Sign agreement is the property the
 //!   knapsack's *ranking* depends on; MAPE bounds the magnitude error.
 //!
-//! Only Tahoe's *chosen* objects are auditable: Tahoe starts everything
-//! on NVM and promotes the chosen set after the profiling windows, so
-//! exactly those objects accumulate access samples on both tiers.
+//! Only Tahoe's *chosen* objects are auditable, and only when they run on
+//! both tiers. Default Tahoe starts from the compiler-estimate placement
+//! and may never move an object, so the audit runs the `tahoe-init`
+//! ablation with synchronous migration (`audit_policy`): everything
+//! starts on NVM and the chosen set is promoted — and committed — at the
+//! profiling boundary, so exactly those objects accumulate access
+//! samples on both tiers.
 //!
 //! [`MeasuredRuntime::probe_obs_overhead`] answers the other question an
 //! always-on flight recorder raises: what does recording cost? It runs
@@ -30,7 +34,7 @@ use tahoe_obs::{Emitter, HistSummary, Metrics};
 
 use crate::app::App;
 use crate::measured::{reference_checksum_seeded, MeasuredRuntime};
-use crate::policy::PolicyKind;
+use crate::policy::{PolicyKind, TahoeOptions};
 
 /// One object's predicted-vs-measured row in the audit.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,6 +102,18 @@ pub struct ObsOverhead {
     pub reps: u32,
 }
 
+/// The policy the model audit and the overhead probe run: Tahoe starting
+/// on the slowest tier (no compiler placement) with its boundary moves
+/// committed before the next window, so every chosen object is sampled
+/// on NVM before the boundary and on DRAM after it.
+pub(crate) fn audit_policy() -> PolicyKind {
+    PolicyKind::Tahoe(TahoeOptions {
+        initial_placement: false,
+        proactive: false,
+        ..TahoeOptions::default()
+    })
+}
+
 impl MeasuredRuntime {
     /// Run the parallel measured Tahoe policy and score the cost model's
     /// placement predictions against measured per-access wall-clock
@@ -110,16 +126,15 @@ impl MeasuredRuntime {
         workers: usize,
         run_seed: u64,
     ) -> Result<ModelAudit, String> {
-        let policy = PolicyKind::tahoe();
+        let policy = audit_policy();
         // The plan (chosen set + per-object predicted values) from the
         // same preparation path the run will take.
         let prepared = self.prepare(app, &policy, cal)?;
-        let plan = prepared
-            .tahoe_plan
-            .as_ref()
-            .ok_or("tahoe preparation must produce a plan")?;
-        let chosen: Vec<bool> = (0..app.objects.len())
-            .map(|i| plan.chosen.iter().any(|o| o.index() == i))
+        let chosen: Vec<bool> = prepared
+            .plan
+            .final_tiers()
+            .iter()
+            .map(|&t| t == 0)
             .collect();
         let values = prepared
             .plan_values
@@ -231,7 +246,7 @@ impl MeasuredRuntime {
         reps: u32,
     ) -> Result<ObsOverhead, String> {
         let reps = reps.max(1);
-        let policy = PolicyKind::tahoe();
+        let policy = audit_policy();
         let off_rt = self
             .clone()
             .with_observability(Emitter::disabled(), Metrics::disabled());
@@ -293,14 +308,17 @@ mod tests {
             .map(|i| b.object(&format!("b{i}"), block_bytes))
             .collect();
         let c = b.class("triad");
+        // Every task streams its whole blocks: enough reuse per byte
+        // that promoting a block repays its copy within the run.
+        let lines = block_bytes / 64;
         for w in 0..windows {
             if w > 0 {
                 b.next_window();
             }
             for i in 0..blocks as usize {
                 b.task(c)
-                    .read_streaming(bb[i], 64)
-                    .update_streaming(a[i], 64)
+                    .read_streaming(bb[i], lines)
+                    .update_streaming(a[i], lines)
                     .submit();
             }
         }

@@ -39,7 +39,7 @@ use crate::hwcache::cached_mem_time_ns;
 use crate::overhead::{
     OverheadLedger, PLAN_COST_PER_CANDIDATE_NS, PROFILING_TASK_INFLATION, SYNC_COST_PER_TASK_NS,
 };
-use crate::policy::{PolicyKind, TahoeOptions};
+use crate::policy::{compiler_initial_placement, PolicyKind, TahoeOptions};
 
 /// In-flight promotion of one memory unit.
 #[derive(Debug, Clone, Copy)]
@@ -255,13 +255,14 @@ impl<'a> Driver<'a> {
                     })
                     .collect(),
             ),
-            PolicyKind::Tahoe(o) => {
-                if o.initial_placement {
-                    Self::compiler_initial_unit_tiers(app, platform, unit_descs)
-                } else {
-                    vec![TierKind::Nvm; unit_descs.len()]
-                }
+            PolicyKind::Tahoe(o) if o.initial_placement => {
+                let units: Vec<(usize, u64)> = unit_descs.iter().map(|&(p, s, _)| (p, s)).collect();
+                compiler_initial_placement(app, &units, platform.dram.capacity)
+                    .into_iter()
+                    .map(|fast| if fast { TierKind::Dram } else { TierKind::Nvm })
+                    .collect()
             }
+            PolicyKind::Tahoe(_) => vec![TierKind::Nvm; unit_descs.len()],
         }
     }
 
@@ -296,40 +297,6 @@ impl<'a> Driver<'a> {
                 }
             })
             .collect()
-    }
-
-    /// The paper's compiler-analysis initial placement: rank memory units
-    /// by their parent object's estimated references per byte and fill
-    /// DRAM greedily. Objects without a compiler estimate
-    /// (`est_refs == None`) cannot be placed initially and start in NVM.
-    fn compiler_initial_unit_tiers(
-        app: &App,
-        platform: &Platform,
-        unit_descs: &[(usize, u64, String)],
-    ) -> Vec<TierKind> {
-        let mut ranked: Vec<(usize, f64)> = unit_descs
-            .iter()
-            .enumerate()
-            .filter_map(|(u, &(p, _, _))| {
-                let o = &app.objects[p];
-                o.est_refs.map(|r| (u, r / o.size as f64))
-            })
-            .collect();
-        ranked.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .expect("densities are finite")
-                .then(a.0.cmp(&b.0))
-        });
-        let mut budget = platform.dram.capacity;
-        let mut tiers = vec![TierKind::Nvm; unit_descs.len()];
-        for (u, _) in ranked {
-            let size = unit_descs[u].1;
-            if size <= budget {
-                budget -= size;
-                tiers[u] = TierKind::Dram;
-            }
-        }
-        tiers
     }
 
     /// Memory units of an accessed app object.
@@ -1185,6 +1152,71 @@ mod tests {
         };
         let d = Driver::new(&app, &platform(), &cfg, PolicyKind::Tahoe(o));
         assert_eq!(d.hms.objects_on(TierKind::Dram).len(), 0);
+    }
+
+    #[test]
+    fn driver_and_measured_mode_share_the_compiler_placement() {
+        use crate::measured::MeasuredRuntime;
+        use tahoe_hms::TierSpec;
+        use tahoe_memprof::wallclock::{MeasuredTier, WallClockCalibration, WallClockConfig};
+
+        // Ranked by refs per byte: o1, o3 fill DRAM; o0 and o4 no longer
+        // fit; o2 has no compiler estimate and starts on the slow tier.
+        let mut b = AppBuilder::new("ranked");
+        let objects = [
+            (256 << 10, Some(1.0e3)),
+            (256 << 10, Some(1.0e6)),
+            (128 << 10, None),
+            (256 << 10, Some(1.0e5)),
+            (128 << 10, Some(1.0e2)),
+        ];
+        let ids: Vec<ObjectId> = objects
+            .iter()
+            .enumerate()
+            .map(|(i, &(size, refs))| {
+                let id = b.object(&format!("o{i}"), size);
+                if let Some(r) = refs {
+                    b.set_est_refs(id, r);
+                }
+                id
+            })
+            .collect();
+        let c = b.class("touch");
+        for &id in &ids {
+            b.task(c).read_streaming(id, 64).submit();
+        }
+        let app = b.build();
+        let dram_cap = 600 << 10;
+        let platform = Platform::emulated_bw(0.25, dram_cap, 1 << 30).unwrap();
+
+        let cfg = RuntimeConfig::default();
+        let d = Driver::new(&app, &platform, &cfg, PolicyKind::tahoe());
+        let virtual_tiers: Vec<u8> = d
+            .units
+            .iter()
+            .map(|u| d.hms.tier_index_of(u[0]).unwrap().0)
+            .collect();
+
+        let cal = WallClockCalibration {
+            dram: TierSpec::symmetric("dram", 100.0, 10.0, dram_cap),
+            nvm: TierSpec::symmetric("nvm", 300.0, 3.0, 1 << 30),
+            cf_bw: 1.0,
+            cf_lat: 1.0,
+            measured: MeasuredTier {
+                stream_bw_gbps: 10.0,
+                chase_lat_ns: 100.0,
+                stream_wall_ns: 1000.0,
+                chase_wall_ns: 1000.0,
+            },
+        };
+        let rt = MeasuredRuntime::new(platform, WallClockConfig::smoke());
+        let measured_tiers = rt
+            .boundary_plan(&app, &PolicyKind::tahoe(), &cal)
+            .unwrap()
+            .plan
+            .initial_tiers;
+        assert_eq!(virtual_tiers, measured_tiers);
+        assert_eq!(measured_tiers, vec![1, 0, 1, 0, 1]);
     }
 
     #[test]

@@ -85,7 +85,9 @@ pub mod runtime;
 pub use app::{App, AppBuilder, ObjectSpec, TaskBuilder};
 pub use audit::{ModelAudit, ObjectAudit, ObsOverhead};
 pub use config::{Platform, RuntimeConfig, RuntimeMode};
-pub use measured::{MeasuredPolicyReport, MeasuredReport, MeasuredRuntime};
+pub use measured::{
+    BoundaryPlan, MeasuredPolicyReport, MeasuredReport, MeasuredRuntime, PricedMove,
+};
 pub use parallel::{AccessTierTiming, ParallelPolicyReport};
 pub use policy::{PolicyKind, TahoeOptions};
 pub use report::RunReport;

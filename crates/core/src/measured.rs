@@ -9,7 +9,11 @@
 //!    ([`tahoe_memprof::wallclock`]). The NVM spec is the fitted DRAM
 //!    spec scaled by the reference platform's DRAM→NVM ratios.
 //! 2. **Execute** — allocate every app object in [`RealBackend`]-backed
-//!    arenas, then run the task graph window by window as *real memory
+//!    arenas on its policy's initial tier (Tahoe: the compiler-estimate
+//!    placement, [`compiler_initial_placement`]; at the profiling
+//!    boundary it issues only the moves whose predicted benefit exceeds
+//!    their copy cost, see [`BoundaryPlan`]), then run the task graph
+//!    window by window as *real memory
 //!    traffic* ([`tahoe_realmem::traffic`]): each declared access walks
 //!    the object's live bytes at native speed; NVM residence then
 //!    injects the cf-corrected model *difference* between the slow and
@@ -27,18 +31,21 @@
 
 use std::time::Instant;
 
-use tahoe_hms::{Hms, HmsConfig, ObjectId, TierId, TierKind, TierSpec};
+use tahoe_hms::{AccessProfile, Hms, HmsConfig, ObjectId, TierId, TierKind, TierSpec};
 use tahoe_memprof::wallclock::{
     derive_scaled_spec, fit_calibration, measure_tier, WallClockCalibration, WallClockConfig,
 };
 use tahoe_obs::{Emitter, Event, Metrics, Tier};
+use tahoe_perfmodel::cost::migration_cost_ns;
 use tahoe_placement::{solve_mck, MckAssignment, MckItem};
 use tahoe_realmem::{traffic, MmapArena, RealBackend};
-use tahoe_sanitize::{audit_plan, MigrationPlan, PlanContext, PlanStep, SanitizeReport};
+use tahoe_sanitize::{
+    audit_plan, plan_cost_ns, MigrationPlan, PlanContext, PlanStep, SanitizeReport,
+};
 
 use crate::app::App;
 use crate::config::Platform;
-use crate::policy::PolicyKind;
+use crate::policy::{compiler_initial_placement, PolicyKind};
 
 /// Deterministic per-site seed (splitmix64 of a site key), parameterized
 /// by a run seed so the stress suite can vary the traffic contents.
@@ -113,24 +120,88 @@ pub struct MeasuredReport {
 /// Everything a measured policy run needs before its first task: the
 /// derived HMS configuration, the backend-loaded [`Hms`] with every
 /// object allocated per the policy's initial placement, the app-order →
-/// HMS object id map, Tahoe's migration plan (if the policy is Tahoe),
-/// and the copy-engine throttle (for the background migration thread).
+/// HMS object id map, the boundary plan the run executes, and the
+/// copy-engine throttle (for the background migration thread).
 pub(crate) struct PreparedRun {
     pub(crate) config: HmsConfig,
     pub(crate) hms: Hms,
     pub(crate) ids: Vec<ObjectId>,
-    pub(crate) tahoe_plan: Option<tahoe_placement::Solution>,
-    /// Tahoe's full N-tier assignment on platforms with middle tiers
-    /// (`None` on two-tier platforms, where `tahoe_plan` is the whole
-    /// story). When present, `tahoe_plan` is its binary projection —
-    /// tier 0 vs everything else — so two-tier consumers (the parallel
-    /// runtime's migrator, the model audit) keep working unchanged.
-    pub(crate) tahoe_assignment: Option<MckAssignment>,
+    /// Where every object starts and the priced moves issued at the
+    /// profiling boundary (no moves for the fixed-placement policies).
+    pub(crate) plan: BoundaryPlan,
     pub(crate) copy_cfg: tahoe_realmem::CopyConfig,
-    /// Tahoe's per-object knapsack value (predicted ns saved by DRAM
-    /// residence over the whole run); `None` for non-Tahoe policies.
-    /// This is the prediction the model-accuracy audit scores.
+    /// Tahoe's per-object value of DRAM residence (predicted ns saved
+    /// over the whole run); `None` for non-Tahoe policies. This is the
+    /// prediction the model-accuracy audit scores.
     pub(crate) plan_values: Option<Vec<f64>>,
+}
+
+/// One priced move of Tahoe's boundary plan.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PricedMove {
+    /// App object index.
+    pub object: u32,
+    /// Tier the object occupies when the move is issued.
+    pub from_tier: u8,
+    /// Destination tier.
+    pub to_tier: u8,
+    /// Predicted ns the move saves over the windows from the boundary on
+    /// (negative for a demotion, which gives residence up).
+    pub benefit_ns: f64,
+    /// Predicted copy time, ns ([`migration_cost_ns`] with no overlap
+    /// credit).
+    pub cost_ns: f64,
+}
+
+impl PricedMove {
+    /// Predicted benefit minus copy cost.
+    pub fn net_ns(&self) -> f64 {
+        self.benefit_ns - self.cost_ns
+    }
+}
+
+/// The plan a measured run executes: the initial placement the
+/// allocator produced plus the moves issued at the profiling boundary,
+/// each priced against where its object actually is. `moves[k]` prices
+/// `plan.steps[k]`; moves out of a tier precede moves into it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BoundaryPlan {
+    /// Initial tiers and timed steps, as the plan auditor certifies them.
+    pub plan: MigrationPlan,
+    /// The priced moves, in step order.
+    pub moves: Vec<PricedMove>,
+}
+
+impl BoundaryPlan {
+    /// Tier of every object after the boundary moves.
+    pub fn final_tiers(&self) -> Vec<u8> {
+        let mut tiers = self.plan.initial_tiers.clone();
+        for s in &self.plan.steps {
+            tiers[s.object as usize] = s.to_tier;
+        }
+        tiers
+    }
+
+    /// Predicted net benefit of the whole plan, ns.
+    pub fn net_ns(&self) -> f64 {
+        self.moves.iter().map(PricedMove::net_ns).sum()
+    }
+}
+
+/// Windows Tahoe profiles before its boundary plan takes effect: the
+/// moves are issued when window `profile_windows(app)` opens.
+pub(crate) fn profile_windows(app: &App) -> u32 {
+    app.windows().saturating_sub(1).min(2)
+}
+
+/// Modelled memory time of one access on `spec`, corrected by the
+/// calibration's factor: the delay measured mode's emulation charges.
+pub(crate) fn access_ns(
+    cal: &WallClockCalibration,
+    profile: &AccessProfile,
+    spec: &TierSpec,
+) -> f64 {
+    profile.mem_time_ns(spec) * cf(cal, profile, spec)
 }
 
 /// Seed for object `i`'s initialization fill. `run_seed == 0` reproduces
@@ -297,164 +368,86 @@ impl MeasuredRuntime {
         hms.set_backend(Box::new(backend));
 
         // ---- placement + allocation ----------------------------------
+        let n_objects = app.objects.len();
         let prefer_dram: Vec<bool> = match policy {
-            PolicyKind::DramOnly => vec![true; app.objects.len()],
-            PolicyKind::NvmOnly => vec![false; app.objects.len()],
+            PolicyKind::DramOnly => vec![true; n_objects],
+            PolicyKind::NvmOnly => vec![false; n_objects],
             // First-touch fills DRAM in allocation order and spills.
-            PolicyKind::FirstTouch => vec![true; app.objects.len()],
-            // Tahoe starts NVM-resident and migrates after profiling.
-            PolicyKind::Tahoe(_) => vec![false; app.objects.len()],
+            PolicyKind::FirstTouch => vec![true; n_objects],
+            // Tahoe starts from the compiler-estimate placement, or on
+            // the slowest tier when that is ablated.
+            PolicyKind::Tahoe(o) if o.initial_placement => {
+                let units: Vec<(usize, u64)> = app
+                    .objects
+                    .iter()
+                    .enumerate()
+                    .map(|(i, o)| (i, o.size))
+                    .collect();
+                compiler_initial_placement(app, &units, config.dram.capacity)
+            }
+            PolicyKind::Tahoe(_) => vec![false; n_objects],
             // Rejected above.
             _ => unreachable!("unsupported policy reached placement"),
         };
         let fallback = !matches!(policy, PolicyKind::DramOnly);
-        let mut ids: Vec<ObjectId> = Vec::with_capacity(app.objects.len());
+        let mut ids: Vec<ObjectId> = Vec::with_capacity(n_objects);
+        let mut initial_tiers: Vec<u8> = Vec::with_capacity(n_objects);
         for (spec, &dram) in app.objects.iter().zip(&prefer_dram) {
             let preferred = if dram { TierKind::Dram } else { TierKind::Nvm };
             let id = hms
                 .alloc_object(&spec.name, spec.size, preferred, fallback)
                 .map_err(|e| format!("alloc {}: {e}", spec.name))?;
             ids.push(id);
+            initial_tiers.push(hms.tier_index_of(id).map_err(|e| e.to_string())?.0);
         }
 
-        // Tahoe's plan: value of DRAM residence per object over the
-        // whole run, from the ground-truth profiles on the fitted specs.
-        // Two-tier platforms keep the exact binary-knapsack path; with
-        // middle tiers the multiple-choice knapsack assigns every object
-        // one tier, and the binary projection (tier 0 vs the rest) is
-        // kept alongside for two-tier consumers.
-        let mut plan_values: Option<Vec<f64>> = None;
-        let mut tahoe_assignment: Option<MckAssignment> = None;
-        let tahoe_plan: Option<tahoe_placement::Solution> = match policy {
-            PolicyKind::Tahoe(_) if config.n_tiers() == 2 => {
-                let mut value = vec![0.0f64; app.objects.len()];
-                for t in app.graph.tasks() {
-                    for a in &t.accesses {
-                        let on_nvm =
-                            a.profile.mem_time_ns(&config.nvm) * cf(cal, &a.profile, &config.nvm);
-                        let on_dram =
-                            a.profile.mem_time_ns(&config.dram) * cf(cal, &a.profile, &config.dram);
-                        value[a.object.index()] += (on_nvm - on_dram).max(0.0);
-                    }
-                }
-                let items: Vec<tahoe_placement::Item> = app
-                    .objects
-                    .iter()
-                    .enumerate()
-                    .map(|(i, o)| tahoe_placement::Item {
-                        id: ObjectId(i as u32),
-                        size: o.size,
-                        value: value[i],
-                    })
-                    .collect();
-                let solution = tahoe_placement::solve(&items, config.dram.capacity);
-                plan_values = Some(value);
-                Some(solution)
-            }
+        let (plan, plan_values) = match policy {
             PolicyKind::Tahoe(_) => {
-                let specs: Vec<TierSpec> = config.tier_specs().into_iter().cloned().collect();
-                let n = specs.len();
-                let mut values = vec![vec![0.0f64; n]; app.objects.len()];
-                for t in app.graph.tasks() {
-                    for a in &t.accesses {
-                        let on_last = a.profile.mem_time_ns(&specs[n - 1])
-                            * cf(cal, &a.profile, &specs[n - 1]);
-                        for (ti, spec) in specs.iter().enumerate().take(n - 1) {
-                            let on_tier = a.profile.mem_time_ns(spec) * cf(cal, &a.profile, spec);
-                            values[a.object.index()][ti] += (on_last - on_tier).max(0.0);
-                        }
-                    }
-                }
-                let items: Vec<MckItem> = app
-                    .objects
-                    .iter()
-                    .enumerate()
-                    .map(|(i, o)| MckItem {
-                        id: ObjectId(i as u32),
-                        size: o.size,
-                        values: values[i].clone(),
-                    })
-                    .collect();
-                let caps: Vec<u64> = specs.iter().map(|s| s.capacity).collect();
-                let assignment = solve_mck(&items, &caps)?;
-                // Binary projection for the two-tier facade: objects the
-                // MCK put on tier 0 are "chosen", with their DRAM value.
-                let chosen = assignment.objects_on(&items, 0);
-                let total_size = chosen.iter().map(|o| app.objects[o.index()].size).sum();
-                let total_value = chosen.iter().map(|o| values[o.index()][0]).sum();
-                tahoe_assignment = Some(assignment);
-                plan_values = Some(values.iter().map(|v| v[0]).collect());
-                Some(tahoe_placement::Solution {
-                    chosen,
-                    total_value,
-                    total_size,
-                })
+                let (plan, values) = tahoe_boundary_plan(app, &config, cal, initial_tiers)?;
+                (plan, Some(values))
             }
-            _ => None,
+            _ => (
+                BoundaryPlan {
+                    plan: MigrationPlan {
+                        initial_tiers,
+                        steps: Vec::new(),
+                    },
+                    moves: Vec::new(),
+                },
+                None,
+            ),
         };
 
         Ok(PreparedRun {
             config,
             hms,
             ids,
-            tahoe_plan,
-            tahoe_assignment,
+            plan,
             copy_cfg,
             plan_values,
         })
     }
 
-    /// The [`MigrationPlan`] a prepared run will execute: where the
-    /// allocator actually placed every object, plus the moves the
-    /// Tahoe plan will issue at the profile-window boundary (the same
-    /// boundary `run_policy`/`run_policy_parallel` migrate at).
-    pub(crate) fn planned_migration(app: &App, prepared: &PreparedRun) -> MigrationPlan {
-        let initial_tiers: Vec<u8> = prepared
-            .ids
-            .iter()
-            .map(|&id| {
-                prepared
-                    .hms
-                    .tier_index_of(id)
-                    .map(|t| t.0)
-                    .unwrap_or_else(|_| (prepared.config.n_tiers() - 1) as u8)
-            })
-            .collect();
-        let boundary = app.windows().saturating_sub(1).min(2);
-        let mut steps = Vec::new();
-        if let Some(assignment) = &prepared.tahoe_assignment {
-            for (i, &t) in assignment.tiers.iter().enumerate() {
-                if t != initial_tiers[i] {
-                    steps.push(PlanStep {
-                        object: i as u32,
-                        to_tier: t,
-                        window: boundary,
-                    });
-                }
-            }
-        } else if let Some(plan) = &prepared.tahoe_plan {
-            for o in &plan.chosen {
-                if initial_tiers[o.index()] != 0 {
-                    steps.push(PlanStep {
-                        object: o.0,
-                        to_tier: 0,
-                        window: boundary,
-                    });
-                }
-            }
-        }
-        MigrationPlan {
-            initial_tiers,
-            steps,
-        }
+    /// Run the static plan auditor over a prepared run, charging every
+    /// step its copy at the configured tier-pair bandwidth.
+    pub(crate) fn audit_prepared(app: &App, prepared: &PreparedRun) -> SanitizeReport {
+        let specs: Vec<TierSpec> = prepared.config.tier_specs().into_iter().cloned().collect();
+        let ctx = plan_context(app, &prepared.config);
+        audit_plan(&app.graph, &prepared.plan.plan, &specs, &ctx)
     }
 
-    /// Run the static plan auditor over a prepared run.
-    pub(crate) fn audit_prepared(app: &App, prepared: &PreparedRun) -> SanitizeReport {
-        let plan = Self::planned_migration(app, prepared);
-        let specs: Vec<TierSpec> = prepared.config.tier_specs().into_iter().cloned().collect();
-        let ctx = PlanContext::new(app.objects.iter().map(|o| o.size).collect());
-        audit_plan(&app.graph, &plan, &specs, &ctx)
+    /// The priced plan a measured run of `policy` would execute: where
+    /// the allocator puts every object and the moves Tahoe issues at the
+    /// profiling boundary, each with its predicted benefit and copy cost.
+    /// Prepared exactly as `run_policy` prepares it, without the audit
+    /// gate.
+    pub fn boundary_plan(
+        &self,
+        app: &App,
+        policy: &PolicyKind,
+        cal: &WallClockCalibration,
+    ) -> Result<BoundaryPlan, String> {
+        Ok(self.prepare_unaudited(app, policy, cal)?.plan)
     }
 
     /// Pre-flight a policy's migration plan without executing anything:
@@ -486,13 +479,12 @@ impl MeasuredRuntime {
             config,
             mut hms,
             ids,
-            tahoe_plan,
-            tahoe_assignment,
+            plan,
             ..
         } = self.prepare(app, policy, cal)?;
 
         // ---- execution ------------------------------------------------
-        let profile_windows = app.windows().saturating_sub(1).min(2);
+        let boundary = profile_windows(app);
         let mut checksum = 0u64;
         let mut bytes_touched = 0u64;
         let start = Instant::now();
@@ -509,27 +501,13 @@ impl MeasuredRuntime {
         }
 
         for w in 0..app.windows() {
-            // Tahoe migrates its plan in after the profiling windows —
-            // real throttled copies through the backend. With an N-tier
-            // assignment every object walks to its assigned tier (the
-            // per-pair copy config throttles each hop); the two-tier
-            // plan keeps promoting the chosen set into DRAM.
-            if w == profile_windows {
-                if let Some(assignment) = &tahoe_assignment {
-                    for (i, &t) in assignment.tiers.iter().enumerate() {
-                        let id = ids[i];
-                        let target = TierId(t);
-                        if hms.tier_index_of(id).map_err(|e| e.to_string())? != target {
-                            let _ = hms.move_object_to(id, target);
-                        }
-                    }
-                } else if let Some(plan) = &tahoe_plan {
-                    for oid in &plan.chosen {
-                        let id = ids[oid.index()];
-                        if hms.tier_of(id).map_err(|e| e.to_string())? == TierKind::Nvm {
-                            let _ = hms.move_object(id, TierKind::Dram);
-                        }
-                    }
+            // Tahoe issues its boundary moves after the profiling
+            // windows — real throttled copies through the backend (the
+            // per-pair copy config throttles each hop), demotions first
+            // so promotions find their room.
+            if w == boundary {
+                for s in &plan.plan.steps {
+                    let _ = hms.move_object_to(ids[s.object as usize], TierId(s.to_tier));
                 }
             }
             for tid in app.graph.window_tasks(w) {
@@ -545,12 +523,8 @@ impl MeasuredRuntime {
                     // absolute model time) keeps the asymmetry honest
                     // whatever the native kernels cost.
                     let inject_ns = if tier != TierId::FASTEST {
-                        let resident = config.tier_spec_at(tier);
-                        let slow = access.profile.mem_time_ns(resident)
-                            * cf(cal, &access.profile, resident);
-                        let fast = access.profile.mem_time_ns(&config.dram)
-                            * cf(cal, &access.profile, &config.dram);
-                        (slow - fast).max(0.0)
+                        let slow = access_ns(cal, &access.profile, config.tier_spec_at(tier));
+                        (slow - access_ns(cal, &access.profile, &config.dram)).max(0.0)
                     } else {
                         0.0
                     };
@@ -631,6 +605,149 @@ pub fn cf(
     } else {
         cal.cf_lat
     }
+}
+
+/// The auditor's context for a measured run: object sizes plus the
+/// configured copy bandwidth of every tier pair.
+fn plan_context(app: &App, config: &HmsConfig) -> PlanContext {
+    let n = config.n_tiers();
+    let bw = (0..n)
+        .map(|f| {
+            (0..n)
+                .map(|t| config.copy_bw_between(TierId(f as u8), TierId(t as u8)))
+                .collect()
+        })
+        .collect();
+    PlanContext::new(app.objects.iter().map(|o| o.size).collect()).with_copy_bw(bw)
+}
+
+/// Tahoe's incremental boundary plan from the objects' actual tiers.
+///
+/// Each object's residence on tier `t` is worth its predicted saving
+/// over the slowest tier from the boundary window on (cf-corrected, the
+/// delay the emulation charges). A move is priced against where the
+/// object already is: staying costs nothing, moving pays
+/// [`migration_cost_ns`] for its copy, and the multiple-choice knapsack
+/// (the exact binary knapsack at two tiers) weighs every object's
+/// options net of those copies — so a promotion into a full tier also
+/// pays the benefit and copy of the demotion it forces. The plan moves
+/// only when its net benefit is positive. Moves out of a tier are
+/// issued before moves into it, so the per-prefix capacity replay of
+/// the auditor holds.
+///
+/// Also returns each object's whole-run DRAM value (the prediction the
+/// model audit scores).
+fn tahoe_boundary_plan(
+    app: &App,
+    config: &HmsConfig,
+    cal: &WallClockCalibration,
+    initial_tiers: Vec<u8>,
+) -> Result<(BoundaryPlan, Vec<f64>), String> {
+    let specs: Vec<TierSpec> = config.tier_specs().into_iter().cloned().collect();
+    let (n, last) = (specs.len(), specs.len() - 1);
+    let boundary = profile_windows(app);
+    let mut benefit = vec![vec![0.0f64; n]; app.objects.len()];
+    let mut whole_run = vec![0.0f64; app.objects.len()];
+    for t in app.graph.tasks() {
+        for a in &t.accesses {
+            let i = a.object.index();
+            let on_last = access_ns(cal, &a.profile, &specs[last]);
+            for (ti, spec) in specs.iter().enumerate().take(last) {
+                let saving = (on_last - access_ns(cal, &a.profile, spec)).max(0.0);
+                if ti == 0 {
+                    whole_run[i] += saving;
+                }
+                if t.window >= boundary {
+                    benefit[i][ti] += saving;
+                }
+            }
+        }
+    }
+    let copy = |i: usize, from: u8, to: u8| -> f64 {
+        if from == to {
+            return 0.0;
+        }
+        let bw = config.copy_bw_between(TierId(from), TierId(to));
+        migration_cost_ns(app.objects[i].size, bw, 0.0)
+    };
+    // Values relative to moving to the slowest tier, so the last entry
+    // is 0 as the solver expects; the shift is per object and leaves the
+    // optimum unchanged.
+    let items: Vec<MckItem> = app
+        .objects
+        .iter()
+        .enumerate()
+        .map(|(i, o)| {
+            let cur = initial_tiers[i];
+            let to_last = copy(i, cur, last as u8);
+            MckItem {
+                id: ObjectId(i as u32),
+                size: o.size,
+                values: (0..n)
+                    .map(|t| benefit[i][t] - copy(i, cur, t as u8) + to_last)
+                    .collect(),
+            }
+        })
+        .collect();
+    let caps: Vec<u64> = specs.iter().map(|s| s.capacity).collect();
+    let assignment = solve_mck(&items, &caps)?;
+    let stay: f64 = items
+        .iter()
+        .zip(&initial_tiers)
+        .map(|(it, &t)| it.values[t as usize])
+        .sum();
+
+    let mut moves: Vec<PricedMove> = Vec::new();
+    if assignment.total_value > stay {
+        for (i, (&from, &to)) in initial_tiers.iter().zip(&assignment.tiers).enumerate() {
+            if from != to {
+                moves.push(PricedMove {
+                    object: i as u32,
+                    from_tier: from,
+                    to_tier: to,
+                    benefit_ns: benefit[i][to as usize] - benefit[i][from as usize],
+                    cost_ns: copy(i, from, to),
+                });
+            }
+        }
+    }
+    // Demotions first (emptiest-first: out of the slowest source tier),
+    // then promotions into the fastest destination first.
+    moves.sort_by_key(|m| {
+        if m.to_tier > m.from_tier {
+            (0, u8::MAX - m.from_tier)
+        } else {
+            (1, m.to_tier)
+        }
+    });
+    let plan = |moves: &[PricedMove]| MigrationPlan {
+        initial_tiers: initial_tiers.clone(),
+        steps: moves
+            .iter()
+            .map(|m| PlanStep {
+                object: m.object,
+                to_tier: m.to_tier,
+                window: boundary,
+            })
+            .collect(),
+    };
+    // The solver priced moves with the calibration's correction
+    // factors; the auditor prices them CF-free. A plan that only pays
+    // under the correction is dropped rather than refused at preflight.
+    if !moves.is_empty() {
+        let ctx = plan_context(app, config);
+        let (before, after) = plan_cost_ns(&app.graph, &plan(&moves), &specs, &ctx);
+        if after > before * (1.0 + 1e-9) {
+            moves.clear();
+        }
+    }
+    Ok((
+        BoundaryPlan {
+            plan: plan(&moves),
+            moves,
+        },
+        whole_run,
+    ))
 }
 
 /// Build multiple-choice knapsack items for `app` over an ordered tier

@@ -86,7 +86,9 @@ use tahoe_sanitize::{AccessSanitizer, ExtraAccess, NoSanitize, SanitizeHook, San
 use tahoe_taskrt::{DataGate, TaskSpec, WsExecutor};
 
 use crate::app::App;
-use crate::measured::{cf, fold, init_seed, site_seed, MeasuredRuntime, PreparedRun};
+use crate::measured::{
+    access_ns, fold, init_seed, profile_windows, site_seed, MeasuredRuntime, PreparedRun,
+};
 use crate::policy::PolicyKind;
 
 /// Flight-recorder ring capacity per lane. At one event plus up to a
@@ -312,19 +314,19 @@ impl MeasuredRuntime {
         run_seed: u64,
         hook: &S,
     ) -> Result<ParallelPolicyReport, String> {
-        // The parallel runtime migrates through the two-tier facade
-        // (SharedHms's lock-free words encode DRAM/NVM), so on N-tier
-        // platforms it uses the plan's binary projection and ignores
-        // the full assignment; the sequential measured path honors it.
         let PreparedRun {
             config,
             hms,
             ids,
-            tahoe_plan,
-            tahoe_assignment: _,
+            plan,
             copy_cfg,
             plan_values,
         } = self.prepare(app, policy, cal)?;
+        // Without proactive migration the boundary copies are waited out
+        // before the next window runs (synchronous, fully exposed).
+        let proactive = !matches!(policy, PolicyKind::Tahoe(o) if !o.proactive);
+        let chosen: Vec<bool> = plan.final_tiers().iter().map(|&t| t == 0).collect();
+        let last = (config.n_tiers() - 1) as u8;
         let nw = workers.max(1);
 
         // The flight recorder exists only when someone is listening:
@@ -345,7 +347,7 @@ impl MeasuredRuntime {
         }
         let slots: Vec<AtomicU64> = (0..n_slots).map(|_| AtomicU64::new(0)).collect();
 
-        let profile_windows = app.windows().saturating_sub(1).min(2);
+        let boundary = profile_windows(app);
         let bytes_touched = AtomicU64::new(0);
         // Per-(object, tier) access timing: slot 2i is DRAM, 2i+1 NVM;
         // whole-ns totals plus sample counts, two relaxed adds per
@@ -402,15 +404,14 @@ impl MeasuredRuntime {
             // Tahoe hands its plan to the migration thread at the
             // profiling boundary and keeps executing: the copies overlap
             // with this window's (and later windows') tasks.
-            if let (Some(plan), true) = (&tahoe_plan, w == profile_windows) {
+            if let (Some(values), true) = (&plan_values, w == boundary) {
                 // Stamp every decision the planner took — chosen or not
                 // — with its predicted benefit; the audit pairs these
                 // with measured per-access deltas.
                 let t = shared.now_ns();
                 for (i, spec) in app.objects.iter().enumerate() {
-                    let predicted = plan_values.as_ref().map_or(0.0, |v| v[i]);
-                    let chosen = plan.chosen.iter().any(|o| o.index() == i);
-                    if !chosen && predicted <= 0.0 {
+                    let predicted = values[i];
+                    if !chosen[i] && predicted <= 0.0 {
                         continue;
                     }
                     let ev = Event::PlacementDecision {
@@ -418,7 +419,7 @@ impl MeasuredRuntime {
                         object: i as u32,
                         bytes: spec.size,
                         predicted_benefit_ns: predicted,
-                        chosen,
+                        chosen: chosen[i],
                     };
                     match &recorder {
                         Some(rec) => {
@@ -427,8 +428,21 @@ impl MeasuredRuntime {
                         None => self.emitter.emit(|| ev),
                     }
                 }
-                for oid in &plan.chosen {
-                    migrator.enqueue(ids[oid.index()], TierKind::Dram);
+                // The migrator works through the two-tier facade: moves
+                // into tier 0 promote to DRAM and moves onto the slowest
+                // tier demote to NVM, in plan order (demotions first).
+                // Moves onto a middle tier are left to the sequential
+                // path.
+                for s in &plan.plan.steps {
+                    let to = match s.to_tier {
+                        0 => TierKind::Dram,
+                        t if t == last => TierKind::Nvm,
+                        _ => continue,
+                    };
+                    migrator.enqueue(ids[s.object as usize], to);
+                }
+                if !proactive {
+                    migrator.drain();
                 }
             }
             let stats = executor.run_window_traced(
@@ -459,11 +473,8 @@ impl MeasuredRuntime {
                         // sequential path: native-speed kernel, then inject
                         // the cf-corrected slow-minus-fast model difference.
                         let inject_ns = if pin.tier == TierKind::Nvm {
-                            let slow = access.profile.mem_time_ns(&config.nvm)
-                                * cf(cal, &access.profile, &config.nvm);
-                            let fast = access.profile.mem_time_ns(&config.dram)
-                                * cf(cal, &access.profile, &config.dram);
-                            (slow - fast).max(0.0)
+                            let slow = access_ns(cal, &access.profile, &config.nvm);
+                            (slow - access_ns(cal, &access.profile, &config.dram)).max(0.0)
                         } else {
                             0.0
                         };
@@ -713,14 +724,17 @@ mod tests {
             .map(|i| b.object(&format!("b{i}"), block_bytes))
             .collect();
         let c = b.class("triad");
+        // Every task streams its whole blocks: enough reuse per byte
+        // that promoting a block repays its copy within the run.
+        let lines = block_bytes / 64;
         for w in 0..windows {
             if w > 0 {
                 b.next_window();
             }
             for i in 0..blocks as usize {
                 b.task(c)
-                    .read_streaming(bb[i], 64)
-                    .update_streaming(a[i], 64)
+                    .read_streaming(bb[i], lines)
+                    .update_streaming(a[i], lines)
                     .submit();
             }
         }

@@ -1,6 +1,47 @@
 //! Placement policies: the paper's system and every baseline it is
 //! compared against.
 
+use crate::app::App;
+
+/// The paper's compiler-analysis initial placement, shared by the
+/// virtual driver and measured mode: rank memory units by their parent
+/// object's estimated references per byte and fill the fast tier
+/// greedily. Objects without a compiler estimate (`est_refs == None`)
+/// cannot be placed initially and start on the slowest tier.
+///
+/// `units` is `(parent object index, unit size)` per memory unit (one
+/// per object, or one per chunk); the result says which units start on
+/// the fast tier.
+pub fn compiler_initial_placement(
+    app: &App,
+    units: &[(usize, u64)],
+    fast_capacity: u64,
+) -> Vec<bool> {
+    let mut ranked: Vec<(usize, f64)> = units
+        .iter()
+        .enumerate()
+        .filter_map(|(u, &(p, _))| {
+            let o = &app.objects[p];
+            o.est_refs.map(|r| (u, r / o.size as f64))
+        })
+        .collect();
+    ranked.sort_by(|a, b| {
+        b.1.partial_cmp(&a.1)
+            .expect("densities are finite")
+            .then(a.0.cmp(&b.0))
+    });
+    let mut budget = fast_capacity;
+    let mut fast = vec![false; units.len()];
+    for (u, _) in ranked {
+        let size = units[u].1;
+        if size <= budget {
+            budget -= size;
+            fast[u] = true;
+        }
+    }
+    fast
+}
+
 /// Ablation and feature switches of the Tahoe policy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TahoeOptions {

@@ -43,15 +43,18 @@ fn triad_app(blocks: u32, block_bytes: u64, windows: u32) -> App {
         .map(|i| b.object(&format!("c{i}"), block_bytes))
         .collect();
     let class = b.class("triad");
+    // Every task streams its whole blocks: enough reuse per byte that
+    // promoting a block repays its copy within the run.
+    let lines = block_bytes / 64;
     for w in 0..windows {
         if w > 0 {
             b.next_window();
         }
         for i in 0..blocks as usize {
             b.task(class)
-                .read_streaming(bv[i], 64)
-                .read_streaming(cv[i], 64)
-                .write_streaming(a[i], 64)
+                .read_streaming(bv[i], lines)
+                .read_streaming(cv[i], lines)
+                .write_streaming(a[i], lines)
                 .submit();
         }
     }

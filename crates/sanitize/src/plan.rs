@@ -31,11 +31,15 @@
 //!   object moves twice within one window (the second copy would race
 //!   the first).
 //! * **Cost non-regression** ([`ViolationKind::PlanCostRegression`]):
-//!   the contention-free modelled memory time under the plan's final
-//!   placement must not exceed the no-plan baseline (the initial
-//!   placement). This is the same pure `mem_time_ns` pricing the MCK
-//!   items are built from, so a solver-produced plan always passes and
-//!   a hand-edited plan that demotes hot objects is rejected.
+//!   the contention-free modelled memory time of the run *under the
+//!   plan* — every access priced on the tier its object occupies in the
+//!   access's window, plus each step's copy time at the tier pair's copy
+//!   bandwidth when the context carries one — must not exceed the
+//!   no-plan baseline (the initial placement throughout). This is the
+//!   same pure `mem_time_ns` pricing the MCK items are built from, so a
+//!   solver-produced plan passes, while a hand-edited plan that demotes
+//!   hot objects, or one whose moves save less than their copies cost,
+//!   is rejected.
 
 use std::collections::HashMap;
 
@@ -94,6 +98,11 @@ pub struct PlanContext {
     /// fixture injection). Declared accesses are pinned and therefore
     /// move-safe; these are not.
     pub extra: Vec<ExtraAccess>,
+    /// `copy_bw_gbps[from][to]`: copy bandwidth between two tiers, GB/s
+    /// (bytes per ns). When present, the cost check charges every step
+    /// its copy time; when absent (or missing a pair), moves are priced
+    /// as free.
+    pub copy_bw_gbps: Option<Vec<Vec<f64>>>,
 }
 
 impl PlanContext {
@@ -115,6 +124,13 @@ impl PlanContext {
     /// Add undeclared accesses the dynamic layer knows about.
     pub fn with_extra(mut self, extra: Vec<ExtraAccess>) -> Self {
         self.extra = extra;
+        self
+    }
+
+    /// Charge each step's copy at `copy_bw_gbps[from][to]` GB/s in the
+    /// cost non-regression check.
+    pub fn with_copy_bw(mut self, copy_bw_gbps: Vec<Vec<f64>>) -> Self {
+        self.copy_bw_gbps = Some(copy_bw_gbps);
         self
     }
 }
@@ -312,60 +328,96 @@ pub fn audit_plan(
     }
 
     // ---- modelled-cost non-regression --------------------------------
-    // Price the final placement against the initial one with the same
-    // pure per-access memory-time model the MCK items use. A plan that
-    // makes the modelled run *slower* is feasible but counterproductive
-    // — almost always a mutated or stale plan.
+    // Price the run under the plan against the run without it, with the
+    // same pure per-access memory-time model the MCK items use: each
+    // access is charged on the tier its object occupies in the access's
+    // window, and each step adds its copy time. A plan that makes the
+    // modelled run *slower* is feasible but counterproductive — a
+    // mutated or stale plan, or moves that cannot repay their copies.
     if n_tiers > 0 {
-        let spill = (n_tiers - 1) as u8;
-        let clamp = |t: u8| -> usize {
-            if (t as usize) < n_tiers {
-                t as usize
-            } else {
-                spill as usize
-            }
-        };
-        let mut final_tiers: Vec<u8> = (0..n_objects)
-            .map(|o| plan.initial_tiers.get(o).copied().unwrap_or(spill))
-            .collect();
-        let mut order: Vec<usize> = (0..plan.steps.len()).collect();
-        order.sort_by_key(|&i| plan.steps[i].window);
-        for i in order {
-            let s = &plan.steps[i];
-            if (s.object as usize) < n_objects && (s.to_tier as usize) < n_tiers {
-                final_tiers[s.object as usize] = s.to_tier;
-            }
-        }
-        let price = |tiers: &[u8]| -> f64 {
-            let mut total = 0.0;
-            for t in g.tasks() {
-                for a in &t.accesses {
-                    let obj = a.object.index();
-                    let tier = clamp(tiers.get(obj).copied().unwrap_or(spill));
-                    total += a.profile.mem_time_ns(&specs[tier]);
-                }
-            }
-            total
-        };
-        let before = price(
-            &(0..n_objects)
-                .map(|o| plan.initial_tiers.get(o).copied().unwrap_or(spill))
-                .collect::<Vec<_>>(),
-        );
-        let after = price(&final_tiers);
+        let (before, after) = plan_cost_ns(g, plan, specs, ctx);
         if after > before * (1.0 + 1e-9) {
             violations.push(Violation {
                 kind: ViolationKind::PlanCostRegression,
                 task: None,
                 object: None,
                 detail: format!(
-                    "plan regresses modelled memory time: {after:.1} ns with the plan vs {before:.1} ns without"
+                    "plan regresses modelled memory time: {after:.1} ns with the plan (copies included) vs {before:.1} ns without"
                 ),
             });
         }
     }
 
     SanitizeReport::new(violations)
+}
+
+/// Modelled memory time of `g` without and with `plan`, ns: `before`
+/// keeps every object on its initial tier for the whole run; `after`
+/// prices each access on the tier its object occupies in the access's
+/// window (steps at window `w` apply from `w` on, in issue order) and
+/// adds every step's copy time when `ctx` carries copy bandwidths.
+/// Steps naming unknown objects or tiers are ignored (they are reported
+/// by the other checks).
+pub fn plan_cost_ns(
+    g: &TaskGraph,
+    plan: &MigrationPlan,
+    specs: &[TierSpec],
+    ctx: &PlanContext,
+) -> (f64, f64) {
+    let n_tiers = specs.len();
+    if n_tiers == 0 {
+        return (0.0, 0.0);
+    }
+    let n_objects = ctx.object_sizes.len();
+    let spill = (n_tiers - 1) as u8;
+    let initial: Vec<u8> = (0..n_objects)
+        .map(|o| match plan.initial_tiers.get(o) {
+            Some(&t) if (t as usize) < n_tiers => t,
+            _ => spill,
+        })
+        .collect();
+    // Per object, its (window, tier) residence changes in issue order.
+    let mut moves: Vec<Vec<(u32, u8)>> = vec![Vec::new(); n_objects];
+    let mut order: Vec<usize> = (0..plan.steps.len()).collect();
+    order.sort_by_key(|&i| plan.steps[i].window);
+    let mut cur = initial.clone();
+    let mut copy_ns = 0.0;
+    for i in order {
+        let s = &plan.steps[i];
+        let o = s.object as usize;
+        if o >= n_objects || (s.to_tier as usize) >= n_tiers || cur[o] == s.to_tier {
+            continue;
+        }
+        let bw = ctx.copy_bw_gbps.as_ref().and_then(|m| {
+            m.get(cur[o] as usize)
+                .and_then(|row| row.get(s.to_tier as usize))
+        });
+        if let Some(bw) = bw {
+            copy_ns += ctx.object_sizes[o] as f64 / bw;
+        }
+        cur[o] = s.to_tier;
+        moves[o].push((s.window, s.to_tier));
+    }
+    let (mut before, mut after) = (0.0, copy_ns);
+    for t in g.tasks() {
+        for a in &t.accesses {
+            let o = a.object.index();
+            let Some(&t0) = initial.get(o) else { continue };
+            let now = moves[o]
+                .iter()
+                .take_while(|&&(w, _)| w <= t.window)
+                .last()
+                .map_or(t0, |&(_, to)| to);
+            let base = a.profile.mem_time_ns(&specs[t0 as usize]);
+            before += base;
+            after += if now == t0 {
+                base
+            } else {
+                a.profile.mem_time_ns(&specs[now as usize])
+            };
+        }
+    }
+    (before, after)
 }
 
 #[cfg(test)]
@@ -632,6 +684,54 @@ mod tests {
         let r = audit_plan(&g, &plan, &specs2(1 << 20), &ctx);
         assert_eq!(r.count(ViolationKind::PlanCostRegression), 1);
         assert!(r.violations[0].detail.contains("regresses"));
+    }
+
+    #[test]
+    fn flags_move_that_cannot_repay_its_copy() {
+        let g = two_window_app();
+        // One promotion at window 1: it speeds up o0's single window-1
+        // access by a few µs, while copying 4 KiB at 1e-4 GB/s takes
+        // ~41 ms.
+        let plan = MigrationPlan {
+            initial_tiers: vec![1, 1],
+            steps: vec![PlanStep {
+                object: 0,
+                to_tier: 0,
+                window: 1,
+            }],
+        };
+        let specs = specs2(1 << 20);
+        let (before, after_free) =
+            plan_cost_ns(&g, &plan, &specs, &PlanContext::new(vec![4096, 4096]));
+        assert!(after_free < before, "the move itself is a win");
+        let slow = PlanContext::new(vec![4096, 4096]).with_copy_bw(vec![vec![1e-4; 2]; 2]);
+        let r = audit_plan(&g, &plan, &specs, &slow);
+        assert_eq!(r.count(ViolationKind::PlanCostRegression), 1);
+        assert!(r.violations[0].detail.contains("copies included"));
+        // The same move with a fast copy engine repays its copy.
+        let fast = PlanContext::new(vec![4096, 4096]).with_copy_bw(vec![vec![10.0; 2]; 2]);
+        assert!(audit_plan(&g, &plan, &specs, &fast).is_clean());
+    }
+
+    #[test]
+    fn cost_is_priced_per_window() {
+        let g = two_window_app();
+        let specs = specs2(1 << 20);
+        let ctx = PlanContext::new(vec![4096, 4096]);
+        let promote = |window| MigrationPlan {
+            initial_tiers: vec![1, 1],
+            steps: vec![PlanStep {
+                object: 0,
+                to_tier: 0,
+                window,
+            }],
+        };
+        // A move at window 0 covers both of o0's accesses, at window 1
+        // only the second: the later move saves strictly less.
+        let (b0, a0) = plan_cost_ns(&g, &promote(0), &specs, &ctx);
+        let (b1, a1) = plan_cost_ns(&g, &promote(1), &specs, &ctx);
+        assert_eq!(b0, b1);
+        assert!(a0 < a1 && a1 < b1);
     }
 
     #[test]
